@@ -21,9 +21,8 @@
 //              core per worker.
 //
 // Every run also emits serial-fraction evidence into BENCH_engine.json:
-// per-worker busy seconds, producer/consumer ring waits, fallback-queue
-// wakeups, merge-stall and drain-wait nanoseconds, and arena fresh-alloc
-// counts — the numbers that say *where* a scaling shortfall comes from.
+// per-worker busy seconds, producer/consumer ring waits, merge-stall and
+// drain-wait nanoseconds, and arena fresh-alloc counts — the numbers that say *where* a scaling shortfall comes from.
 //
 // The bench asserts the workers=1 engine path is byte-identical to direct
 // bm::Switch::inject() on the same workload before timing anything.
@@ -85,8 +84,6 @@ struct Run {
   // Serial-fraction evidence (cumulative over the best repetition).
   std::uint64_t backpressure_waits = 0;
   std::uint64_t consumer_waits = 0;
-  std::uint64_t queue_producer_wakeups = 0;
-  std::uint64_t queue_consumer_wakeups = 0;
   std::uint64_t merge_stall_ns = 0;
   std::uint64_t drain_wait_ns = 0;
   std::uint64_t arena_fresh_allocs = 0;
@@ -130,8 +127,6 @@ Run run_engine_once(const bm::Switch& configured, std::size_t workers,
   auto& mx = eng.metrics();
   r.backpressure_waits = mx.counter("backpressure_waits").value();
   r.consumer_waits = mx.counter("consumer_waits").value();
-  r.queue_producer_wakeups = mx.counter("queue_producer_wakeups").value();
-  r.queue_consumer_wakeups = mx.counter("queue_consumer_wakeups").value();
   r.merge_stall_ns = mx.counter("merge_stall_ns").value();
   r.drain_wait_ns = mx.counter("drain_wait_ns").value();
   r.arena_fresh_allocs = mx.counter("arena_fresh_allocs").value();
@@ -223,8 +218,6 @@ void emit_run_json(std::ofstream& json, const Run& r, double base_model,
     json << (i ? ", " : "") << r.busy_s[i];
   json << "],\n     \"backpressure_waits\": " << r.backpressure_waits
        << ", \"consumer_waits\": " << r.consumer_waits
-       << ", \"queue_producer_wakeups\": " << r.queue_producer_wakeups
-       << ", \"queue_consumer_wakeups\": " << r.queue_consumer_wakeups
        << ",\n     \"merge_stall_ns\": " << r.merge_stall_ns
        << ", \"drain_wait_ns\": " << r.drain_wait_ns
        << ", \"arena_fresh_allocs\": " << r.arena_fresh_allocs << "}"

@@ -63,7 +63,7 @@ typedef struct h4_options {
   uint32_t queue_capacity; /* per-worker ring capacity; 0 = default */
   uint32_t batch_size;     /* max packets per worker batch; 0 = default */
   int32_t pin_workers;     /* nonzero: pin worker i to core i (best effort) */
-  int32_t use_mutex_queue; /* nonzero: mutex BoundedQueue fallback channel */
+  int32_t use_mutex_queue; /* reserved, ignored (kept for layout/source) */
   int32_t vm_fast_path;    /* nonzero: per-worker VM bytecode tier */
   int32_t collect_results; /* nonzero: keep outputs for h4_drain_outputs */
   uint32_t persona_stages; /* emulated match-action stages; 0 = default */

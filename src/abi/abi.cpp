@@ -257,7 +257,6 @@ int h4_open(const h4_options* opts, h4_instance** out) {
     if (opts->batch_size != 0) eo.batch_size = opts->batch_size;
     eo.collect_results = opts->collect_results != 0;
     eo.pin_workers = opts->pin_workers != 0;
-    eo.use_mutex_queue = opts->use_mutex_queue != 0;
     inst->collect_results = eo.collect_results;
     inst->eng = std::make_unique<engine::TrafficEngine>(
         inst->ctl().dataplane().program(), eo);

@@ -101,8 +101,6 @@ TrafficEngine::TrafficEngine(p4::Program prog, EngineOptions opts)
   m_batches_ = &metrics_.counter("batches");
   m_backpressure_ = &metrics_.counter("backpressure_waits");
   m_consumer_waits_ = &metrics_.counter("consumer_waits");
-  m_queue_prod_wakeups_ = &metrics_.counter("queue_producer_wakeups");
-  m_queue_cons_wakeups_ = &metrics_.counter("queue_consumer_wakeups");
   m_merge_stall_ns_ = &metrics_.counter("merge_stall_ns");
   m_drain_wait_ns_ = &metrics_.counter("drain_wait_ns");
   m_arena_fresh_ = &metrics_.counter("arena_fresh_allocs");
@@ -133,13 +131,8 @@ TrafficEngine::TrafficEngine(p4::Program prog, EngineOptions opts)
       w->tracer = std::make_unique<obs::PipelineTracer>(topts);
       w->sw->set_tracer(w->tracer.get());
     }
-    if (opts_.use_mutex_queue) {
-      w->queue = std::make_unique<BoundedQueue<Job>>(
-          opts_.queue_capacity, m_queue_prod_wakeups_, m_queue_cons_wakeups_);
-    } else {
-      w->ring = std::make_unique<SpscRing<Job>>(
-          opts_.queue_capacity, m_backpressure_, m_consumer_waits_);
-    }
+    w->inbox = std::make_unique<MpscChannel<Job>>(
+        opts_.queue_capacity, m_backpressure_, m_consumer_waits_);
     w->arena = std::make_unique<PacketArena>(stock, m_arena_fresh_);
     w->stage.reserve(opts_.batch_size);
     workers_.push_back(std::move(w));
@@ -150,10 +143,7 @@ TrafficEngine::TrafficEngine(p4::Program prog, EngineOptions opts)
 }
 
 TrafficEngine::~TrafficEngine() {
-  for (auto& w : workers_) {
-    if (w->ring) w->ring->close();
-    if (w->queue) w->queue->close();
-  }
+  for (auto& w : workers_) w->inbox->close();
   for (auto& w : workers_) {
     if (w->th.joinable()) w->th.join();
   }
@@ -172,9 +162,7 @@ void TrafficEngine::worker_loop(Worker& w) {
   std::vector<std::pair<std::uint64_t, bm::ProcessResult>> completed;
   if (opts_.collect_results) completed.reserve(opts_.batch_size);
   for (;;) {
-    const bool alive = w.ring ? w.ring->pop_batch(batch, opts_.batch_size)
-                              : w.queue->pop_batch(batch, opts_.batch_size);
-    if (!alive) break;
+    if (!w.inbox->pop_batch(batch, opts_.batch_size)) break;
     {
       std::lock_guard<std::mutex> replica_lock(w.replica_mu);
       for (auto& job : batch) {
@@ -389,30 +377,13 @@ std::uint64_t TrafficEngine::inject(std::uint16_t port, net::Packet packet) {
   const std::uint64_t seq =
       enqueued_.fetch_add(1, std::memory_order_acq_rel);
   Worker& w = *workers_[shard];
-  Job job{seq, port, std::move(packet)};
-  if (w.queue) {
-    bool waited = false;
-    w.queue->push(std::move(job), &waited);
-    if (waited) m_backpressure_->inc();
-  } else {
-    std::lock_guard<std::mutex> lk(w.prod_mu);
-    w.ring->push(&job, 1);
-  }
+  w.inbox->push(Job{seq, port, std::move(packet)});
   return seq;
 }
 
 void TrafficEngine::flush_stage(Worker& w) {
   if (w.stage.empty()) return;
-  if (w.queue) {
-    for (auto& job : w.stage) {
-      bool waited = false;
-      w.queue->push(std::move(job), &waited);
-      if (waited) m_backpressure_->inc();
-    }
-  } else {
-    std::lock_guard<std::mutex> lk(w.prod_mu);
-    w.ring->push(w.stage.data(), w.stage.size());
-  }
+  w.inbox->push(w.stage.data(), w.stage.size());
   w.stage.clear();
 }
 

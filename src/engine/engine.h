@@ -9,9 +9,10 @@
 // semantics hold with no locks on the packet path.
 //
 // Data path (rebuilt for real wall-clock scaling — see DESIGN.md):
-//   * one cacheline-padded SPSC ring per worker (ring.h) with batched
-//     push/pop and a condvar slow path only when full/empty; producers are
-//     serialized per ring by a tiny mutex, uncontended for one injector;
+//   * one MpscChannel per worker (ring.h): a cacheline-padded SPSC ring
+//     with batched push/pop and a condvar slow path only when full/empty,
+//     its producers serialized by a tiny mutex, uncontended for one
+//     injector (the fabric's node inbox is the same channel);
 //   * a per-worker packet arena (arena.h) recycles net::Packet buffers from
 //     the result path back to inject_batch(), so the steady-state inject
 //     path performs zero heap allocations;
@@ -20,8 +21,6 @@
 //     sequence completes instead of being sorted behind a whole-wave
 //     barrier at drain();
 //   * optional core-affinity pinning of workers (EngineOptions::pin_workers).
-// The mutex-guarded BoundedQueue survives as a selectable fallback channel
-// (EngineOptions::use_mutex_queue) with identical semantics.
 //
 // Control-plane operations (table_add / table_modify / ...) fan out to
 // every replica atomically: the control thread takes every replica lock (in
@@ -56,7 +55,6 @@
 #include "engine/arena.h"
 #include "engine/flow.h"
 #include "engine/metrics.h"
-#include "engine/queue.h"
 #include "engine/reorder.h"
 #include "engine/ring.h"
 #include "net/packet.h"
@@ -81,9 +79,6 @@ struct EngineOptions {
   bool profile = false;
   // Pin worker i to core i % hardware_concurrency (Linux; no-op elsewhere).
   bool pin_workers = false;
-  // Use the mutex-guarded BoundedQueue instead of the SPSC ring for the
-  // shard hand-off — the fallback/differential path; semantics identical.
-  bool use_mutex_queue = false;
   bm::Switch::Options switch_options{};
 };
 
@@ -283,14 +278,10 @@ class TrafficEngine {
     // Profiling tracer attached to `sw` when EngineOptions::profile; its
     // histograms are only touched by the owning worker under replica_mu.
     std::unique_ptr<obs::PipelineTracer> tracer;
-    // Shard hand-off: the SPSC ring, or the BoundedQueue fallback when
-    // EngineOptions::use_mutex_queue (exactly one is non-null).
-    std::unique_ptr<SpscRing<Job>> ring;
-    std::unique_ptr<BoundedQueue<Job>> queue;
-    // Serializes ring producers (the ring itself is SPSC). Uncontended in
-    // the single-injector pattern; inject_batch holds it once per staged
-    // run, not per packet.
-    std::mutex prod_mu;
+    // Shard hand-off. Its producer lock is uncontended in the
+    // single-injector pattern; inject_batch takes it once per staged run,
+    // not per packet.
+    std::unique_ptr<MpscChannel<Job>> inbox;
     // Packet-buffer recycler (worker produces spent buffers, inject_batch
     // consumes them under inject_mu_).
     std::unique_ptr<PacketArena> arena;
@@ -338,8 +329,6 @@ class TrafficEngine {
   Counter* m_batches_ = nullptr;
   Counter* m_backpressure_ = nullptr;
   Counter* m_consumer_waits_ = nullptr;
-  Counter* m_queue_prod_wakeups_ = nullptr;
-  Counter* m_queue_cons_wakeups_ = nullptr;
   Counter* m_merge_stall_ns_ = nullptr;
   Counter* m_drain_wait_ns_ = nullptr;
   Counter* m_arena_fresh_ = nullptr;

@@ -1,13 +1,12 @@
-// Bounded single-producer / single-consumer ring for the engine's per-shard
-// packet hand-off — the hot-path replacement for the mutex-guarded
-// BoundedQueue (queue.h, kept as the fallback).
+// The one bounded hand-off channel: an SPSC ring plus MpscChannel, the
+// same ring with its producer side serialized by a mutex. Every engine
+// worker's shard inbox and every fabric node's inbox is an MpscChannel;
+// the bare SpscRing also carries the packet arena's buffer returns.
 //
 // Layout and protocol:
-//   * One ring per worker. The consumer is that worker's thread; the
-//     producer side is serialized by the engine (each ring has a tiny
-//     producer mutex taken outside the ring, uncontended in the dominant
-//     single-injector pattern), so the ring itself only ever sees one
-//     producer and one consumer.
+//   * The ring itself only ever sees one producer and one consumer. In an
+//     MpscChannel the producer mutex is taken outside the ring (uncontended
+//     in the dominant single-injector pattern; a batch push holds it once).
 //   * head_ (consumer cursor) and tail_ (producer cursor) live on separate
 //     cache lines; each side keeps a cached copy of the other's cursor and
 //     re-reads the shared atomic only when the cached value says the ring
@@ -198,6 +197,36 @@ class SpscRing {
   std::atomic<bool> consumer_waiting_{false};
   std::mutex mu_;
   std::condition_variable not_empty_, not_full_;
+};
+
+// SpscRing with the producer side serialized by one mutex: many producers
+// (injector threads, fabric peers), one consumer. A producer blocked on a
+// full ring holds the mutex, so the others wait on the mutex; close()
+// wakes the blocked one and every later push fails.
+template <typename T>
+class MpscChannel {
+ public:
+  explicit MpscChannel(std::size_t capacity, Counter* producer_waits = nullptr,
+                       Counter* consumer_waits = nullptr)
+      : ring_(capacity, producer_waits, consumer_waits) {}
+
+  // Blocking push of all `n` items under one producer-lock hold; false once
+  // closed (the unpushed remainder is dropped).
+  bool push(T* src, std::size_t n) {
+    std::lock_guard<std::mutex> lk(mu_);
+    return ring_.push(src, n);
+  }
+  bool push(T&& v) { return push(&v, 1); }
+
+  // False only when closed AND drained.
+  bool pop_batch(std::vector<T>& out, std::size_t max) {
+    return ring_.pop_batch(out, max);
+  }
+  void close() { ring_.close(); }
+
+ private:
+  std::mutex mu_;
+  SpscRing<T> ring_;
 };
 
 }  // namespace hyper4::engine

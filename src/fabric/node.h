@@ -45,31 +45,6 @@ struct Msg {
   std::uint64_t epoch = 0;
 };
 
-// SpscRing with the producer side serialized by a mutex — the node inbox:
-// many senders (controller thread, peer engine workers), one consumer (the
-// node thread). Same backpressure contract as the engine's shard rings.
-template <typename T>
-class MpscChannel {
- public:
-  explicit MpscChannel(std::size_t capacity) : ring_(capacity) {}
-
-  // Blocking; false once closed (item dropped).
-  bool push(T&& v) {
-    std::lock_guard<std::mutex> lk(mu_);
-    return ring_.push(&v, 1);
-  }
-  // False only when closed AND drained.
-  bool pop_batch(std::vector<T>& out, std::size_t max) {
-    return ring_.pop_batch(out, max);
-  }
-  void close() { ring_.close(); }
-  bool closed() const { return ring_.closed(); }
-
- private:
-  std::mutex mu_;
-  engine::SpscRing<T> ring_;
-};
-
 // How this node's ports are wired (shipped by the controller as kConfig on
 // the socket transport, set directly in-process).
 struct NodeWiring {
@@ -199,7 +174,7 @@ class FabricNode {
   std::map<std::uint64_t, Pending> pending_;
   std::uint64_t engine_next_seq_ = 0;
 
-  MpscChannel<Msg> inbox_;
+  engine::MpscChannel<Msg> inbox_;
   std::thread th_;
   bool started_ = false;
   std::atomic<bool> halt_{false};

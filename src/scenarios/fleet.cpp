@@ -20,8 +20,14 @@ ScenarioFleet::ScenarioFleet(FleetOptions opts) : opts_(opts) {
     throw ConfigError("fleet: chain_depth must be 1.." +
                       std::to_string(kNfCount - 1) +
                       " (a spare catalog kind is needed for hot-swap)");
-  if (opts_.tenants > 20000)
-    throw ConfigError("fleet: tenant ports exceed the 16-bit port space");
+  // Tenant i uses ports 2i+1 (in) and 2i+2 (out), see setup_tenant. Both
+  // must fit the egress spec, whose all-ones value is the drop port.
+  constexpr std::size_t kMaxTenants =
+      ((std::size_t{1} << p4::kPortWidth) - 2) / 2;
+  if (opts_.tenants > kMaxTenants)
+    throw ConfigError("fleet: at most " + std::to_string(kMaxTenants) +
+                      " tenants fit the " + std::to_string(p4::kPortWidth) +
+                      "-bit egress spec (two ports per tenant)");
 
   if (!opts_.durable_dir.empty()) {
     store_ = std::make_unique<state::DurableController>(

@@ -26,7 +26,6 @@ const std::set<std::string> kCounterGolden = {
     "recirculates",     "parse_errors",
     "loop_kills",       "batches",
     "backpressure_waits", "consumer_waits",
-    "queue_producer_wakeups", "queue_consumer_wakeups",
     "merge_stall_ns",   "drain_wait_ns",
     "arena_fresh_allocs", "control_ops",
     "txn_batches",

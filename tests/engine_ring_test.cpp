@@ -1,10 +1,11 @@
 // Tests for the engine's lock-free-ish data-path building blocks:
-// SpscRing (per-shard hand-off), PacketArena (buffer recycling),
-// ReorderBuffer (streaming deterministic merge), and the BoundedQueue
-// fallback's wakeup accounting. The two-thread hand-off tests are the ones
-// CI runs under ThreadSanitizer (tsan job, ctest -R 'Engine').
+// SpscRing, MpscChannel (the one hand-off channel: every engine shard
+// inbox and every fabric node inbox), PacketArena (buffer recycling) and
+// ReorderBuffer (streaming deterministic merge). The multi-thread hand-off
+// tests are the ones CI runs under ThreadSanitizer (tsan job).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -12,16 +13,15 @@
 
 #include "engine/arena.h"
 #include "engine/metrics.h"
-#include "engine/queue.h"
 #include "engine/reorder.h"
 #include "engine/ring.h"
 
 namespace hyper4 {
 namespace {
 
-using engine::BoundedQueue;
 using engine::Counter;
 using engine::MergedResult;
+using engine::MpscChannel;
 using engine::PacketArena;
 using engine::ReorderBuffer;
 using engine::SpscRing;
@@ -284,40 +284,14 @@ TEST(EngineReorderTest, StallCounterAdvancesOnDeliver) {
 }
 
 // ---------------------------------------------------------------------------
-// BoundedQueue fallback: wakeup accounting + proportional notify behaviour.
+// MpscChannel: many producers serialized onto one ring.
 
-TEST(EngineQueueTest, WakeupCountersRecordBlocking) {
-  engine::Counter prod_wakeups, cons_wakeups;
-  BoundedQueue<int> q(2, &prod_wakeups, &cons_wakeups);
-  ASSERT_TRUE(q.push(1));
-  ASSERT_TRUE(q.push(2));
-  std::thread producer([&] { ASSERT_TRUE(q.push(3)); });  // blocks: full
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  std::vector<int> out;
-  ASSERT_TRUE(q.pop_batch(out, 1));  // frees one slot -> wakes the producer
-  producer.join();
-  EXPECT_GE(prod_wakeups.value(), 1u);
-
-  std::thread consumer([&] {
-    std::vector<int> got;
-    ASSERT_TRUE(q.pop_batch(got, 4));  // drains 2,3 eventually
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  consumer.join();
-  // Consumer never had to block on an empty queue here (2,3 were present);
-  // force one blocking pop.
-  std::thread blocked_consumer([&] {
-    std::vector<int> got;
-    ASSERT_TRUE(q.pop_batch(got, 1));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(q.push(4));
-  blocked_consumer.join();
-  EXPECT_GE(cons_wakeups.value(), 1u);
-}
-
+// Capacity 1 with 8 producers: every producer but one is parked at any time
+// (on the full ring or behind the producer lock), and each freed slot must
+// still admit exactly one more until all values are through.
 TEST(EngineQueueTest, ManyBlockedProducersAllEventuallyAdmitted) {
-  BoundedQueue<int> q(1);
+  engine::Counter prod_waits;
+  MpscChannel<int> q(1, &prod_waits);
   ASSERT_TRUE(q.push(0));
   constexpr int kProducers = 8;
   std::vector<std::thread> producers;
@@ -328,15 +302,20 @@ TEST(EngineQueueTest, ManyBlockedProducersAllEventuallyAdmitted) {
       pushed.fetch_add(1);
     });
   }
-  std::vector<int> out;
-  int drained = 0;
-  while (drained < kProducers + 1) {
+  // The ring already holds a value, so the first producer through the lock
+  // must park on it; the ring's wait counter passes through the channel.
+  while (prod_waits.value() == 0) std::this_thread::yield();
+  std::vector<int> out, got;
+  while (got.size() < kProducers + 1u) {
     ASSERT_TRUE(q.pop_batch(out, 2));
-    drained += static_cast<int>(out.size());
+    got.insert(got.end(), out.begin(), out.end());
   }
   for (auto& t : producers) t.join();
   EXPECT_EQ(pushed.load(), kProducers);
-  EXPECT_EQ(q.size(), 0u);
+  std::sort(got.begin(), got.end());
+  for (int i = 0; i <= kProducers; ++i) EXPECT_EQ(got[i], i);
+  q.close();
+  EXPECT_FALSE(q.pop_batch(out, 2));  // closed and drained
 }
 
 }  // namespace

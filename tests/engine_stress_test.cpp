@@ -57,7 +57,7 @@ net::Packet flow_packet(std::size_t flow, std::uint32_t seq) {
 // egress port between 2 and 3. Every delivered packet must leave on one of
 // those two ports, and nothing may be lost or double-counted.
 void run_stress(std::size_t workers, std::size_t producers,
-                std::size_t packets, bool use_mutex_queue = false) {
+                std::size_t packets) {
   const std::size_t flows = 64;
   // HP4_CHECK_SEED re-randomizes the packet→flow assignment (shared seed
   // discipline with the fuzz and check suites). Precomputed so producer
@@ -76,7 +76,6 @@ void run_stress(std::size_t workers, std::size_t producers,
   opts.workers = workers;
   opts.queue_capacity = 128;  // small queue → exercises backpressure
   opts.batch_size = 16;
-  opts.use_mutex_queue = use_mutex_queue;
   TrafficEngine eng(apps::l2_switch(), opts);
   eng.sync_from(native);
 
@@ -181,14 +180,6 @@ TEST(EngineStress, ProfileExportAndSnapshotRaceFree) {
       << "stage histograms must not lose or double-count observations";
 }
 
-// The BoundedQueue fallback must survive the identical stress (it is the
-// differential implementation that keeps the SPSC ring honest).
-TEST(EngineStress, MutexQueueFallbackManyWorkersManyProducers) {
-  run_stress(env_size("ENGINE_STRESS_WORKERS", 4), 2,
-             env_size("ENGINE_STRESS_PACKETS", 2000),
-             /*use_mutex_queue=*/true);
-}
-
 // Single-flow hot-spot: every packet hashes to ONE shard while the other
 // workers idle. The worst case for the sharded design — ordering must hold
 // (per-flow FIFO == global injection order here) and nothing may be lost
@@ -229,27 +220,24 @@ TEST(EngineStress, SingleFlowHotSpotKeepsOrder) {
 }
 
 // queue_capacity=0 must clamp to a working (capacity-1) channel rather
-// than wedge or crash, in both channel implementations.
+// than wedge or crash.
 TEST(EngineStress, ZeroCapacityQueueStillFlows) {
-  for (const bool mutex_queue : {false, true}) {
-    EngineOptions opts;
-    opts.workers = 2;
-    opts.queue_capacity = 0;
-    opts.batch_size = 4;
-    opts.use_mutex_queue = mutex_queue;
-    TrafficEngine eng(apps::l2_switch(), opts);
-    bm::Switch native(apps::l2_switch());
-    apps::apply_rule(native, apps::l2_forward(bench::kMacH2, 2));
-    eng.sync_from(native);
-    const std::size_t n = 200;
-    std::vector<InjectItem> items;
-    for (std::size_t i = 0; i < n; ++i)
-      items.push_back({1, flow_packet(i % 8, static_cast<std::uint32_t>(i))});
-    eng.inject_batch(items);
-    const engine::MergedResult m = eng.drain();
-    EXPECT_EQ(m.packets, n) << (mutex_queue ? "mutex queue" : "ring");
-    EXPECT_EQ(m.totals.outputs.size(), n);
-  }
+  EngineOptions opts;
+  opts.workers = 2;
+  opts.queue_capacity = 0;
+  opts.batch_size = 4;
+  TrafficEngine eng(apps::l2_switch(), opts);
+  bm::Switch native(apps::l2_switch());
+  apps::apply_rule(native, apps::l2_forward(bench::kMacH2, 2));
+  eng.sync_from(native);
+  const std::size_t n = 200;
+  std::vector<InjectItem> items;
+  for (std::size_t i = 0; i < n; ++i)
+    items.push_back({1, flow_packet(i % 8, static_cast<std::uint32_t>(i))});
+  eng.inject_batch(items);
+  const engine::MergedResult m = eng.drain();
+  EXPECT_EQ(m.packets, n);
+  EXPECT_EQ(m.totals.outputs.size(), n);
 }
 
 // Mid-run close: destroy the engine while packets are still queued. The
@@ -257,18 +245,15 @@ TEST(EngineStress, ZeroCapacityQueueStillFlows) {
 // and join must not hang. (No result assertions — the point is clean
 // teardown under load, which TSan also watches.)
 TEST(EngineStress, DestructorClosesRingsMidRun) {
-  for (const bool mutex_queue : {false, true}) {
-    EngineOptions opts;
-    opts.workers = 2;
-    opts.queue_capacity = 16;
-    opts.batch_size = 4;
-    opts.collect_results = false;
-    opts.use_mutex_queue = mutex_queue;
-    auto eng = std::make_unique<TrafficEngine>(apps::l2_switch(), opts);
-    for (std::size_t i = 0; i < 500; ++i)
-      eng->inject(1, flow_packet(i % 16, static_cast<std::uint32_t>(i)));
-    eng.reset();  // close + join while the rings are likely non-empty
-  }
+  EngineOptions opts;
+  opts.workers = 2;
+  opts.queue_capacity = 16;
+  opts.batch_size = 4;
+  opts.collect_results = false;
+  auto eng = std::make_unique<TrafficEngine>(apps::l2_switch(), opts);
+  for (std::size_t i = 0; i < 500; ++i)
+    eng->inject(1, flow_packet(i % 16, static_cast<std::uint32_t>(i)));
+  eng.reset();  // close + join while the rings are likely non-empty
 }
 
 TEST(EngineStress, BackpressureEngages) {

@@ -519,26 +519,5 @@ TEST(EngineStreaming, PinnedWorkersProcessNormally) {
   ASSERT_EQ(m.per_packet.size(), items.size());
 }
 
-TEST(EngineStreaming, MutexQueueFallbackMatchesRing) {
-  bench::Harness h("l2_sw");
-  const auto items = l2_workload(10, 3);
-  engine::MergedResult got[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    EngineOptions opts;
-    opts.workers = 2;
-    opts.batch_size = 4;
-    opts.use_mutex_queue = mode == 1;
-    TrafficEngine eng(apps::program_by_name("l2_sw"), opts);
-    eng.sync_from(*h.native);
-    eng.inject_batch(items);
-    got[mode] = eng.drain();
-  }
-  ASSERT_EQ(got[0].per_packet.size(), items.size());
-  ASSERT_EQ(got[1].per_packet.size(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i)
-    expect_result_eq(got[0].per_packet[i], got[1].per_packet[i],
-                     "ring vs mutex queue, packet " + std::to_string(i));
-}
-
 }  // namespace
 }  // namespace hyper4

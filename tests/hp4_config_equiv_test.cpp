@@ -114,7 +114,7 @@ std::vector<ConfigCase> config_cases() {
 }
 
 class ConfigEquiv
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(ConfigEquiv, EmulationMatchesNativeUnderConfig) {
   const auto [app, case_idx] = GetParam();

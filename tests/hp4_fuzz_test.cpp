@@ -143,7 +143,7 @@ std::vector<std::pair<std::uint16_t, std::string>> canon(
 }
 
 class FuzzEquivalence
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(FuzzEquivalence, RandomRulesRandomPackets) {
   const auto [app, seed] = GetParam();

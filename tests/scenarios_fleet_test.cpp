@@ -157,5 +157,29 @@ TEST(ScenarioFleet, RejectsBadGeometry) {
   EXPECT_THROW(ScenarioFleet{o}, util::ConfigError);
 }
 
+// Tenant i egresses on port 2i+2, so 255 tenants fill the 9-bit egress spec
+// (port 511 is drop). One more must be refused, not silently lose its flow.
+TEST(ScenarioFleet, TenantCountBoundedByEgressSpec) {
+  FleetOptions o = small_opts(256, 1);
+  try {
+    ScenarioFleet fleet(o);
+    FAIL() << "256 tenants accepted";
+  } catch (const util::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("at most 255 tenants"),
+              std::string::npos)
+        << e.what();
+  }
+
+  o.tenants = 255;
+  o.vm_path = true;
+  ScenarioFleet fleet(o);
+  EXPECT_EQ(fleet.tenant(254).out_port, 510);
+  fleet.inject_wave(1);
+  const WaveResult w = fleet.drain_wave();
+  EXPECT_TRUE(w.all_delivered);
+  for (std::size_t i = 0; i < fleet.tenants(); ++i)
+    EXPECT_EQ(w.delivered[i], 1u) << "tenant " << i;
+}
+
 }  // namespace
 }  // namespace hyper4

@@ -176,7 +176,7 @@ TEST(Traffic, MeanStddev) {
 // Scenario-level behaviour
 
 class ScenarioParam
-    : public ::testing::TestWithParam<std::tuple<const char*, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
 
 TEST_P(ScenarioParam, TrafficFlowsEndToEnd) {
   auto [kind, hyper4] = GetParam();
